@@ -4,8 +4,9 @@
 //! the last one is kept), then drives one closed-loop client (depth 1)
 //! over the workload's fixed cycle of operations until `--seconds` have
 //! passed. An untraced run (`--trace 0`) times every operation from
-//! submit to result in client memory. A traced run (`--trace 1`) runs
-//! three phases:
+//! submit to result in client memory, interleaved with the reference
+//! kernel of [`crate::speed`] that scales its host wall times to the
+//! nominal host. A traced run (`--trace 1`) runs three phases:
 //!
 //! 1. *count*: one cycle whose deterministic counters (events, packets,
 //!    bytes, tier and serve counts) are recorded; they repeat exactly
@@ -21,10 +22,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::host;
+use crate::speed::{self, Reference};
+use crate::stats::{median, quantile};
 use crate::trace::Tracer;
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
+pub const SETUP_REPS: usize = 5;
 /// Fewest timed operations an untraced run ends with: p99 then has at
 /// least ten samples beyond it.
 pub const MIN_OPS: usize = 1000;
@@ -34,11 +37,16 @@ pub const WINDOW_OPS: usize = 100;
 /// A run stops taking new cycles after this long, whatever its count.
 const HARD_STOP_S: f64 = 150.0;
 
-/// A stretch of the plain phase: its samples, the operations it
-/// completed and their wall time.
+/// References on each side of a sample that scale it: the median of
+/// these six spans about 120 ms.
+const NEAR_REFERENCES: usize = 3;
+
+/// A stretch of the plain phase: its samples, the reference count when
+/// each was taken, the operations it completed and their wall time.
 #[derive(Debug, Default)]
 struct Window {
     lat: Vec<f64>,
+    at: Vec<usize>,
     ops: u64,
     ns: u64,
 }
@@ -72,7 +80,13 @@ pub struct Harness {
     phase: Phase,
     replay_counting: bool,
     next_op: u64,
+    /// Host wall of each set-up, s, and the reference times around them.
     setup_s: Vec<f64>,
+    setup_refs: Vec<f64>,
+    /// Reference times of the plain phase of an untraced run, in order.
+    refs: Vec<f64>,
+    reference: Reference,
+    last_reference: Instant,
     setup_faults: u64,
     setup_mark: u64,
     node_init_ms: Vec<f64>,
@@ -105,6 +119,10 @@ impl Harness {
             replay_counting: false,
             next_op: 0,
             setup_s: Vec::new(),
+            setup_refs: Vec::new(),
+            refs: Vec::new(),
+            reference: Reference::new(),
+            last_reference: Instant::now(),
             setup_faults: 0,
             setup_mark: 0,
             node_init_ms: Vec::new(),
@@ -140,17 +158,21 @@ impl Harness {
 
     // ---- set-up ----------------------------------------------------
 
-    /// Start one timed set-up.
+    /// Start one timed set-up, after a reference.
     pub fn setup_start(&mut self) -> Instant {
         self.phase = Phase::Setup;
+        let ns = self.reference.time();
+        self.setup_refs.push(ns);
         self.setup_mark = host::minor_faults();
         Instant::now()
     }
 
-    /// End the set-up started at `t0`.
+    /// End the set-up started at `t0`, and run a reference after it.
     pub fn setup_end(&mut self, t0: Instant) {
         self.setup_s.push(t0.elapsed().as_secs_f64());
         self.setup_faults = host::minor_faults() - self.setup_mark;
+        let ns = self.reference.time();
+        self.setup_refs.push(ns);
     }
 
     /// Time the bring-up `f` of `nodes` nodes (`mem.node_init_ms` is
@@ -182,6 +204,9 @@ impl Harness {
             self.tracer.stop();
         } else {
             self.phase = Phase::Plain;
+            let ns = self.reference.time();
+            self.refs.push(ns);
+            self.last_reference = Instant::now();
             self.run_for(self.seconds, MIN_OPS, cycle, step);
         }
         self.measure_s = t0.elapsed().as_secs_f64();
@@ -213,7 +238,7 @@ impl Harness {
             let elapsed = t0.elapsed().as_secs_f64();
             let ops = match self.phase {
                 Phase::Traced => self.traced_ns.len(),
-                _ => self.plain_ns.len(),
+                _ => self.closed_windows().map(|w| w.lat.len()).sum(),
             };
             if (elapsed >= seconds && ops >= min_ops) || elapsed >= HARD_STOP_S {
                 break;
@@ -260,14 +285,26 @@ impl Harness {
         }
     }
 
-    /// Record one operation's host wall and simulated response time.
+    /// Record one operation's host wall and simulated response time. In
+    /// an untraced run, run the reference kernel after it when the last
+    /// one is [`speed::REFERENCE_EVERY_MS`] old.
     pub fn sample(&mut self, ns: u64, sim_us: f64) {
         match self.phase {
             Phase::Plain => {
                 self.plain_ns.push(ns as f64);
-                self.open_window().lat.push(ns as f64);
+                let at = self.refs.len();
+                let w = self.open_window();
+                w.lat.push(ns as f64);
+                w.at.push(at);
                 if self.first_cycle {
                     self.sim_us.push(sim_us);
+                }
+                if !self.trace
+                    && self.last_reference.elapsed().as_millis() >= speed::REFERENCE_EVERY_MS
+                {
+                    let ref_ns = self.reference.time();
+                    self.refs.push(ref_ns);
+                    self.last_reference = Instant::now();
                 }
             }
             Phase::Traced => self.traced_ns.push(ns as f64),
@@ -333,30 +370,71 @@ impl Harness {
         self.windows.iter().filter(|w| w.lat.len() >= WINDOW_OPS)
     }
 
+    /// The factor to the nominal host of a sample taken when `at`
+    /// references had run: from the median of the [`NEAR_REFERENCES`]
+    /// before it and as many after.
+    fn scale_at(&self, at: usize) -> f64 {
+        let lo = at.saturating_sub(NEAR_REFERENCES);
+        let hi = (at + NEAR_REFERENCES).min(self.refs.len());
+        if lo >= hi {
+            return 1.0;
+        }
+        speed::scale(median(&self.refs[lo..hi]))
+    }
+
+    /// The mean factor to the nominal host of the samples of `w`.
+    fn window_scale(&self, w: &Window) -> f64 {
+        let sum: f64 = w.at.iter().map(|&at| self.scale_at(at)).sum();
+        sum / w.at.len().max(1) as f64
+    }
+
+    /// Set-up time, throughput and latency quantiles over the closed
+    /// windows: `(setup_s, queries_per_s, query_p50_ms, query_p99_ms)`.
+    /// Scaled, each sample is multiplied by its factor to the nominal
+    /// host, each window's operation time by its samples' mean factor.
+    fn timings(&self, scaled: bool) -> (f64, f64, f64, f64) {
+        let lat: Vec<f64> = self
+            .closed_windows()
+            .flat_map(|w| w.lat.iter().zip(&w.at))
+            .map(|(ns, &at)| if scaled { ns * self.scale_at(at) } else { *ns })
+            .collect();
+        let ops: u64 = self.closed_windows().map(|w| w.ops).sum();
+        let ns: f64 = self
+            .closed_windows()
+            .map(|w| {
+                let f = if scaled { self.window_scale(w) } else { 1.0 };
+                w.ns as f64 * f
+            })
+            .sum();
+        let setup_factor = if scaled {
+            speed::scale(median(&self.setup_refs))
+        } else {
+            1.0
+        };
+        (
+            median(&self.setup_s) * setup_factor,
+            ops as f64 * 1e9 / ns.max(1.0),
+            median(&lat) / 1e6,
+            quantile(&lat, 0.99) / 1e6,
+        )
+    }
+
     /// The end-to-end metrics of an untraced run, by name.
     ///
-    /// The host's speed drifts in phases of seconds, set by other tenants
-    /// of the machine; a slow phase only ever adds time. So the timed
-    /// phase is cut into windows of whole cycles (at least
-    /// [`WINDOW_OPS`] operations), and the per-operation figures are taken
-    /// in the run's fast windows: `query_p50_ms` is the 10th percentile
-    /// of the window medians and `queries_per_s` the 90th percentile of
-    /// the window throughputs (completed operations per second of
-    /// operation wall time). `query_p99_ms` is the 99th percentile of all
-    /// samples of the run.
+    /// The timings are host wall times scaled to the nominal host of
+    /// [`crate::speed`]: each operation's by the references taken nearest
+    /// it, the set-ups' by the references taken around them. `setup_s` is the
+    /// median set-up, `queries_per_s` the completed operations per second
+    /// of operation time, and `query_p50_ms`/`query_p99_ms` quantiles of
+    /// all operations of the closed windows.
     pub fn end_to_end(&self) -> Vec<(&'static str, f64)> {
-        use crate::stats::{median, quantile};
-        let medians: Vec<f64> = self.closed_windows().map(|w| median(&w.lat)).collect();
-        let rates: Vec<f64> = self
-            .closed_windows()
-            .map(|w| w.ops as f64 * 1e9 / w.ns.max(1) as f64)
-            .collect();
+        let (setup_s, qps, p50, p99) = self.timings(true);
         let ok = self.attempted - self.failed.min(self.attempted);
         vec![
-            ("setup_s", median(&self.setup_s)),
-            ("queries_per_s", quantile(&rates, 0.9)),
-            ("query_p50_ms", quantile(&medians, 0.1) / 1e6),
-            ("query_p99_ms", quantile(&self.plain_ns, 0.99) / 1e6),
+            ("setup_s", setup_s),
+            ("queries_per_s", qps),
+            ("query_p50_ms", p50),
+            ("query_p99_ms", p99),
             ("peak_rss_mb", host::peak_rss_mb()),
             ("success_rate", ok as f64 / self.attempted.max(1) as f64),
             ("sim_p50_us", median(&self.sim_us)),
@@ -367,7 +445,6 @@ impl Harness {
     /// Per-layer values the harness itself measures: set-up, host
     /// faults, tracing overhead.
     pub fn harness_layers(&self) -> Vec<(&'static str, f64)> {
-        use crate::stats::median;
         let queries = self.counter("queries").max(1.0);
         let plain = median(&self.plain_ns);
         let traced = median(&self.traced_ns);
@@ -386,13 +463,13 @@ impl Harness {
     }
 
     /// Facts about the host and the run, printed beside the result so a
-    /// run taken in a slow host phase shows.
+    /// run taken in a slow host phase shows: among them the unscaled
+    /// timings and the range of the windows' factors to the nominal host.
     pub fn host_json(&self) -> String {
-        use crate::stats::median;
         let samples = if self.trace {
             self.traced_ns.len()
         } else {
-            self.plain_ns.len()
+            self.closed_windows().map(|w| w.lat.len()).sum()
         };
         let windows: Vec<f64> = self.closed_windows().map(|w| median(&w.lat)).collect();
         let (lo, hi) = windows
@@ -403,8 +480,13 @@ impl Harness {
         } else {
             (hi - lo) / median(&windows)
         };
+        let scales: Vec<f64> = self
+            .closed_windows()
+            .map(|w| self.window_scale(w))
+            .collect();
+        let (setup_s, qps, p50, p99) = self.timings(false);
         format!(
-            "{{\"host\": {{\"nproc\": {}, \"kernel\": \"{}\", \"loadavg_start\": \"{}\", \"loadavg_end\": \"{}\", \"steal_ticks\": {}}}, \"run\": {{\"seed\": {}, \"samples\": {}, \"sim_samples\": {}, \"measure_s\": {:.3}, \"setup_s\": {:?}, \"window_ops\": {}, \"windows\": {}, \"window_median_spread\": {:.4}, \"spans\": {}}}}}",
+            "{{\"host\": {{\"nproc\": {}, \"kernel\": \"{}\", \"loadavg_start\": \"{}\", \"loadavg_end\": \"{}\", \"steal_ticks\": {}}}, \"run\": {{\"seed\": {}, \"samples\": {}, \"sim_samples\": {}, \"measure_s\": {:.3}, \"setup_s\": {:?}, \"setup_scale\": {:.4}, \"window_ops\": {}, \"windows\": {}, \"window_median_spread\": {:.4}, \"window_scale\": [{:.4}, {:.4}, {:.4}], \"spans\": {}}}, \"unscaled\": {{\"setup_s\": {:.6}, \"queries_per_s\": {:.4}, \"query_p50_ms\": {:.6}, \"query_p99_ms\": {:.6}}}}}",
             host::nproc(),
             host::kernel(),
             self.load_start,
@@ -415,10 +497,18 @@ impl Harness {
             self.sim_us.len(),
             self.measure_s,
             self.setup_s,
+            speed::scale(median(&self.setup_refs)),
             WINDOW_OPS,
             windows.len(),
             spread,
+            quantile(&scales, 0.0),
+            median(&scales),
+            quantile(&scales, 1.0),
             self.tracer.len(),
+            setup_s,
+            qps,
+            p50,
+            p99,
         )
     }
 }

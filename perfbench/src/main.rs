@@ -6,9 +6,13 @@
 //!
 //! The last line of standard output is one JSON object with the keys
 //! `correct`, `attempted`, `failed` and `metrics`: with `--trace 0` the
-//! end-to-end metrics, with `--trace 1` the per-layer ones. The line
-//! before it records the host (processor count, kernel, load, steal
-//! ticks) and the run (sample counts, window-median spread). A traced
+//! end-to-end metrics, with `--trace 1` the per-layer ones. The
+//! end-to-end timings are host wall times scaled to a nominal host speed
+//! read off a reference kernel run beside the operations (see
+//! [`speed`]). The line before the result records the host (processor
+//! count, kernel, load, steal ticks), the run (sample counts,
+//! window-median spread, the factors to the nominal host) and the
+//! timings before they were scaled. A traced
 //! run also prints its deterministic counters and writes its spans to
 //! `.bench_trace/<workload>-<seed>.tsv`.
 //!
@@ -22,6 +26,7 @@ mod layers;
 mod node;
 mod oracle;
 mod serve;
+mod speed;
 mod stats;
 mod tiered;
 mod trace;

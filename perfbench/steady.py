@@ -12,8 +12,9 @@ between the quartiles as a share of the median. The spread is compared
 with the metric's bound in BENCHMARK.json: "steady" below a third of the
 bound, "within" below the bound, "NOISY" otherwise. The spread of setup_s
 is only printed: set-up is judged by how far its median moves between
-two sets of runs. Each run's host facts are printed too. This is the
-evidence the bounds are set from.
+two sets of runs. Each run's host facts are printed too, and the same
+statistics of the timings before they were scaled to the nominal host
+(see src/speed.rs). This is the evidence the bounds are set from.
 
 Determinism mode makes two traced runs of one seed per workload and
 checks that their deterministic counters (events, packets, bytes, tier
@@ -48,6 +49,24 @@ def run(workload, seed, seconds, trace):
     return [json.loads(l) for l in lines]
 
 
+def spread_line(name, xs, bound):
+    """Median, quartiles and spread of `xs`, and how the spread compares
+    with `bound`; the verdict is "info" for set-up time."""
+    med = statistics.median(xs)
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    spread = (q3 - q1) / med if med else 0.0
+    if name == "setup_s":
+        # Judged by the drift of its median between sets, not by its
+        # spread within one.
+        verdict = "info"
+    else:
+        verdict = ("steady" if spread < bound / 3
+                   else "within" if spread <= bound else "NOISY")
+    line = (f"  {name:16s} {med:12.6g} {q1:12.6g} {q3:12.6g} {spread:7.4f} {bound:6.3f} {verdict}"
+            f"  [{' '.join(f'{x:.4g}' for x in xs)}]")
+    return line, verdict
+
+
 def steadiness(bench, workloads, runs, first_seed, seconds):
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     ok = True
@@ -66,25 +85,20 @@ def steadiness(bench, workloads, runs, first_seed, seconds):
         print(f"\n{w}: {runs} runs, seeds {first_seed}..{first_seed + runs - 1}, {seconds} s")
         print(f"  {'metric':16s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>7s} {'bound':>6s}")
         for name, xs in values.items():
-            med = statistics.median(xs)
-            q1, _, q3 = statistics.quantiles(xs, n=4)
-            spread = (q3 - q1) / med if med else 0.0
-            bound = bounds[name]["bound"]
-            if name == "setup_s":
-                # Judged by the drift of its median between sets, not by
-                # its spread within one.
-                verdict = "info"
-            else:
-                verdict = ("steady" if spread < bound / 3
-                           else "within" if spread <= bound else "NOISY")
+            line, verdict = spread_line(name, xs, bounds[name]["bound"])
             ok &= verdict != "NOISY"
-            print(f"  {name:16s} {med:12.6g} {q1:12.6g} {q3:12.6g} {spread:7.4f} {bound:6.3f} {verdict}"
-                  f"  [{' '.join(f'{x:.4g}' for x in xs)}]", flush=True)
+            print(line, flush=True)
+        print("  unscaled (host wall times as measured, for comparison):")
+        for name in hosts[0]["unscaled"]:
+            xs = [h["unscaled"][name] for h in hosts]
+            print(spread_line(name, xs, bounds[name]["bound"])[0])
         spreads = [h["run"]["window_median_spread"] for h in hosts]
+        scales = [h["run"]["window_scale"] for h in hosts]
         steal = [h["host"]["steal_ticks"] for h in hosts]
         print(f"  host: nproc {hosts[0]['host']['nproc']}, kernel {hosts[0]['host']['kernel']}, "
               f"steal ticks per run {steal}, window-median spread per run "
-              f"{[round(s, 3) for s in spreads]}")
+              f"{[round(s, 3) for s in spreads]}, window scale [min, median, max] per run "
+              f"{[[round(x, 3) for x in s] for s in scales]}")
     return ok
 
 
